@@ -25,8 +25,8 @@
 
 namespace are::bench {
 
-/// Every bench dispatches through the unified front door (core::run +
-/// EngineRegistry); this helper trims the AnalysisRequest boilerplate so a
+/// Every bench dispatches through the unified front door (core::run + the
+/// engine preset table); this helper trims the AnalysisRequest boilerplate so a
 /// measured series is one line per config.
 inline core::YearLossTable run(const core::Portfolio& portfolio,
                                const yet::YearEventTable& yet_table,

@@ -132,7 +132,7 @@ void engine_simd_threads(benchmark::State& state) {
   }
   state.counters["threads"] = static_cast<double>(state.range(0));
   state.counters["lanes"] = static_cast<double>(core::simd_lane_width(
-      core::resolve_simd_extension(direct_portfolio(), {config.num_threads, config.simd_extension})));
+      core::resolve_simd_extension(direct_portfolio(), config.simd_extension)));
 }
 
 void engine_sequential_generic(benchmark::State& state) {

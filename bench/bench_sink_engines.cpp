@@ -12,7 +12,7 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/engine_registry.hpp"
+#include "core/engine_presets.hpp"
 #include "shard/sharded_run.hpp"
 
 namespace {
@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
   (void)guard;
 
   bench::JsonReport report;
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
+  for (const auto& engine : core::engine_presets()) {
     // The windowed engine without a window is seq; skip the duplicate row.
     if (engine.kind == core::EngineKind::kWindowed) continue;
 

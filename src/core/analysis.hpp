@@ -5,13 +5,8 @@
 // execution strategies; this header makes that literal: callers build an
 // AnalysisRequest (portfolio + YET + AnalysisConfig) and call run(). Which
 // strategy executes is data (EngineKind in the config, resolved through the
-// EngineRegistry), not a choice of free function, so an
-// engines x window x instrumentation sweep is a loop over configs.
-//
-// The legacy run_sequential / run_parallel / run_chunked / run_openmp /
-// run_simd / run_windowed / run_instrumented entry points remain as the
-// engine implementations; outside src/core they should only appear in
-// equivalence tests that pin the new API against them.
+// preset table in core/engine_presets.hpp), not a choice of free function,
+// so an engines x window x instrumentation sweep is a loop over configs.
 
 #include <cstddef>
 #include <optional>
@@ -19,17 +14,19 @@
 #include <string_view>
 
 #include "core/cancel.hpp"
+#include "core/coverage_window.hpp"
 #include "core/engine.hpp"
 #include "core/simd_engine.hpp"
-#include "core/windowed_engine.hpp"
+#include "parallel/parallel_for.hpp"
 
 namespace are::core {
 
 class GroundUpLossCache;  // core/trial_kernel.hpp
 
-/// Every execution strategy the registry knows about. The enumerators are
-/// stable identifiers; their canonical string names (used by the CLI and
-/// config files) live in the EngineRegistry descriptors.
+/// Every execution strategy, one row each in the preset table
+/// (core/engine_presets.hpp). The enumerators are stable identifiers; their
+/// canonical string names (used by the CLI and config files) live in the
+/// table.
 enum class EngineKind {
   kSequential = 0,  ///< reference implementation, the bit-identity anchor
   kParallel,        ///< thread-pool trial parallelism (paper's multi-core)
@@ -41,22 +38,20 @@ enum class EngineKind {
   kFused,           ///< trial-tiled single-pass engine: all layers per tile
 };
 
-/// Canonical name of the engine kind ("seq", "parallel", ...). Matches the
-/// registry descriptor's name.
+/// Canonical name of the engine kind ("seq", "parallel", ...), read from
+/// the preset table; "unknown" for a value outside the enum.
 std::string_view to_string(EngineKind kind) noexcept;
 
-/// Per-run facts written back through AnalysisConfig::instrumentation.
-/// Every engine adapter records which engine actually executed and its
-/// engine-specific resolution (did OpenMP really run? which SIMD lane type
-/// did kAuto pick?); only engines whose descriptor sets
-/// supports_instrumentation also fill the phase/access breakdown.
+/// Per-run facts written back through AnalysisConfig::instrumentation:
+/// which engine executed and its resolution (did OpenMP really run? which
+/// SIMD lane type did kAuto pick?), plus the phase/access breakdown when
+/// the run was instrumented (collect_phases, or the instrumented preset).
 struct InstrumentationSink {
   /// The engine that executed the request.
   std::optional<EngineKind> engine_used;
 
   /// kOpenMp only: true when OpenMP directives actually ran, false when the
   /// build lacks OpenMP and the bit-identical thread-pool fallback executed.
-  /// The legacy run_openmp hid this; the registry surfaces it.
   std::optional<bool> openmp_used;
 
   /// kSimd and kFused: the extension that actually executed after kAuto
@@ -70,7 +65,8 @@ struct InstrumentationSink {
   /// core::resolve_simd_extension_ex().note; --verbose prints it.
   std::optional<std::string> simd_resolution_note;
 
-  /// Fig-6b phase attribution and memory-access counters (kInstrumented).
+  /// Fig-6b phase attribution and memory-access counters (instrumented
+  /// runs only).
   std::optional<PhaseBreakdown> phases;
   std::optional<AccessCounts> accesses;
 };
@@ -113,61 +109,60 @@ struct ShardingOptions {
   std::string spill_dir;
 };
 
-/// Composable execution configuration. One struct covers every engine; each
-/// engine reads the fields it understands and run() rejects combinations
-/// the engine's descriptor says it cannot honour (no silent ignoring).
+/// Composable execution configuration. One struct covers every engine; the
+/// engine's preset (core/engine_presets.hpp) decides which of the kernel
+/// knobs below it reads, and run() rejects a borrowed pool the preset
+/// cannot use.
 struct AnalysisConfig {
   EngineKind engine = EngineKind::kParallel;
 
-  /// When non-empty, run() dispatches by this registry name instead of
-  /// `engine`. This is how engines registered under custom names are
-  /// reached: EngineKind is a closed enum, so a runtime-registered backend
-  /// reuses an existing kind, and kind lookup would find the builtin first.
-  /// The CLI always dispatches by name.
+  /// When non-empty, run() dispatches by this preset name ("seq",
+  /// "fused", ...) instead of `engine`. The CLI always dispatches by name.
   std::string engine_name;
 
   /// Worker threads for the threaded engines (kParallel, kChunked, kOpenMp,
-  /// kSimd): 0 = hardware concurrency, 1 = single-threaded.
+  /// kSimd, kFused): 0 = hardware concurrency, 1 = single-threaded.
   std::size_t num_threads = 0;
 
   /// kParallel: trial-range partitioning strategy and, for dynamic/guided,
-  /// the number of trials per work item.
+  /// the number of trials per work item. kFused reads `partition` only (its
+  /// chunks are sized by event count, not trials).
   parallel::Partition partition = parallel::Partition::kStatic;
   std::size_t partition_chunk = 256;
 
   /// kChunked: events staged per scratch chunk (the paper's Fig-5a knob).
   std::size_t chunk_size = 4;
 
-  /// kFused: trials per tile (the fused engine processes every layer over
-  /// one tile's events before moving on; see core/fused_engine.hpp).
+  /// kFused: trials per tile (the kernel block; the fused engine processes
+  /// every layer over one tile's events before moving on).
   /// 0 = derive from the ELT footprint and events/trial
   /// (core::default_tile_trials).
   std::size_t tile_trials = 0;
 
-  /// kSimd: lane type to run; kAuto resolves to the widest compiled
-  /// extension with the memory-bound narrowing.
+  /// kSimd and kFused: lane type to run; kAuto resolves to the widest
+  /// runnable extension with the memory-bound narrowing. The other engines
+  /// run scalar lanes.
   SimdExtension simd_extension = SimdExtension::kAuto;
 
-  /// Coverage window within the contractual year; requires an engine whose
-  /// descriptor sets supports_windowing (kWindowed). Absent = full year.
+  /// Coverage window within the contractual year; every engine applies it
+  /// (kWindowed names the serial preset meant for it). Absent = full year.
   std::optional<CoverageWindow> window;
 
-  /// When set, the engine adapter records execution facts here, and
-  /// engines with supports_instrumentation fill the phase breakdown.
-  /// Borrowed, not owned; any engine accepts it.
+  /// When set, run() records the execution facts here, and instrumented
+  /// runs fill the phase breakdown. Borrowed, not owned; any engine
+  /// accepts it.
   InstrumentationSink* instrumentation = nullptr;
 
-  /// Request the Fig-6b phase breakdown; requires an engine whose
-  /// descriptor sets supports_instrumentation and a non-null
-  /// `instrumentation` sink to receive it. kInstrumented always fills the
-  /// breakdown; kFused switches to a timer-instrumented (slower,
-  /// bit-identical) tile path only when this is set, so the default fused
-  /// hot path stays untimed.
+  /// Request the Fig-6b phase breakdown from any engine; requires a
+  /// non-null `instrumentation` sink to receive it. The kernel switches to
+  /// its timer-instrumented (slower, bit-identical) block path only when
+  /// this is set, so default hot paths stay untimed; kInstrumented always
+  /// fills the breakdown.
   bool collect_phases = false;
 
   /// Output placement. run() serves kMaterialized only; kSharded runs go
-  /// through shard::run_sharded (or run_to_sink with your own sink) and
-  /// require an engine whose descriptor has a run_to_sink adapter.
+  /// through shard::run_sharded (or run_to_sink with your own sink), which
+  /// every engine supports.
   OutputMode output = OutputMode::kMaterialized;
   ShardingOptions sharding;
 
@@ -175,8 +170,8 @@ struct AnalysisConfig {
   TelemetryOptions telemetry;
 
   /// Borrowed thread pool, reused across runs (the real-time pricing path);
-  /// requires an engine whose descriptor sets supports_pool_reuse
-  /// (kParallel, kSimd). nullptr = the engine owns its threads.
+  /// requires an engine whose preset sets supports_pool_reuse (kParallel,
+  /// kSimd, kFused). nullptr = the engine owns its threads.
   parallel::ThreadPool* pool = nullptr;
 
   /// Delta execution (core/trial_kernel.hpp GroundUpLossCache; the resident
@@ -210,8 +205,8 @@ struct AnalysisConfig {
   /// malformed window, partition_chunk == 0, chunk_size == 0, or
   /// sharding.shard_trials == 0 (tile_trials == 0 is valid: it selects the
   /// tile-size heuristic).
-  /// Engine-capability checks (window/pool vs. descriptor flags, extension
-  /// availability) happen in run(), which knows the registry.
+  /// The engine-dependent checks (a borrowed pool, extension availability)
+  /// happen in run(), which knows the preset.
   void validate() const;
 };
 
@@ -223,21 +218,19 @@ struct AnalysisRequest {
   AnalysisConfig config{};
 };
 
-/// The front door: validates the config, resolves the engine through
-/// EngineRegistry::global(), rejects capability mismatches
-/// (std::invalid_argument), and dispatches. Output YLTs of engines whose
-/// descriptor sets bit_identical_to_sequential are bit-identical to
+/// The front door: validates the config, looks the engine up in the preset
+/// table, rejects a pool the preset cannot use (std::invalid_argument), and
+/// runs the trial kernel with the preset's config and launch. Output YLTs
+/// of presets that set bit_identical_to_sequential are bit-identical to
 /// EngineKind::kSequential for the same request. Serves
 /// OutputMode::kMaterialized only — a sharded config is redirected (by
 /// error message) to shard::run_sharded, which owns the sharded table.
 YearLossTable run(const AnalysisRequest& request);
 
-/// Sink front door: same validation/capability checks as run(), then the
-/// engine emits finished trial-range blocks into `sink` instead of an
-/// owned YearLossTable. Requires an engine whose descriptor carries a
-/// run_to_sink adapter (descriptor.supports_sharded_output()); engines
-/// whose descriptor also sets bit_identical_to_sequential deliver exactly
-/// the bytes run_sequential would have produced for every cell.
+/// Sink front door: same checks as run(), then the kernel emits finished
+/// trial-range blocks into `sink` instead of an owned YearLossTable.
+/// Presets that set bit_identical_to_sequential deliver exactly the bytes
+/// the sequential engine would have produced for every cell.
 void run_to_sink(const AnalysisRequest& request, YltSink& sink);
 
 }  // namespace are::core

@@ -19,6 +19,14 @@
 
 namespace are::core {
 
+bool openmp_available() noexcept {
+#ifdef _OPENMP
+  return true;
+#else
+  return false;
+#endif
+}
+
 namespace {
 
 /// The runtime dispatch table behind kernel construction. The scalar
@@ -263,7 +271,7 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
 
   // Feed the collected per-phase wall times into the registry so an
   // instrumented run's Fig-6b attribution is visible to exporters and the
-  // future service without threading InstrumentedResult around.
+  // resident service without threading the breakdown around.
   if (obs::enabled() && config.instrument && phases != nullptr) {
     obs::TelemetryRegistry& registry = obs::TelemetryRegistry::global();
     const auto ns = [](double seconds) {

@@ -10,16 +10,17 @@
 //
 //   - scalar and simd::VecD term paths (one templated body; the lane type is
 //     a runtime choice, resolved once at kernel construction),
-//   - an optional CoverageWindow (the windowed engine's semantics),
+//   - an optional CoverageWindow,
 //   - optional per-phase timers + access counters (the Fig-6b breakdown),
 //   - optional event-chunked staging (the chunked engine's Fig-5a knob),
 //   - delivery either straight into a YearLossTable or into a YltSink
 //     (finished blocks never cross sink.block_trials() boundaries, so a
 //     sharded sink receives each block into exactly one shard).
 //
-// The engines are now *drivers*: each one only chooses block partitioning,
-// scheduling (serial / parallel_for / parallel_for_costed / OpenMP), and
-// lane width over this kernel — see KernelLaunch and run_trial_kernel().
+// The engines are rows of a preset table (core/engine_presets.hpp): each
+// one only chooses block partitioning, scheduling (serial / parallel_for /
+// parallel_for_costed / OpenMP), and lane width over this kernel — see
+// KernelLaunch and run_trial_kernel().
 // Every (engine x threads x lane x sink) combination produces bytes
 // identical to the sequential reference, because every combination runs
 // this body: per (layer, trial) cell the arithmetic and its order never
@@ -89,11 +90,11 @@ class GroundUpLossCache {
 };
 
 /// What the kernel computes per block — the cross-cutting knobs every
-/// driver shares. Scheduling lives in KernelLaunch, not here.
+/// engine shares. Scheduling lives in KernelLaunch, not here.
 struct TrialKernelConfig {
   /// Resolved lane type for the vectorized term phases. kScalar runs the
-  /// same body one element at a time; kAuto resolves to the widest compiled
-  /// extension (drivers that want the memory-bound narrowing resolve with
+  /// same body one element at a time; kAuto resolves to the widest runnable
+  /// extension (callers that want the memory-bound narrowing resolve with
   /// resolve_simd_extension() first and pass the result).
   SimdExtension extension = SimdExtension::kScalar;
 
@@ -193,7 +194,7 @@ class TrialBlockKernel {
 
   /// Adds an instrumented scratch's phase timers and access counts into the
   /// given accumulators (either may be null) — the post-run merge step for
-  /// parallel drivers.
+  /// parallel schedules.
   static void collect(const TrialKernelScratch& scratch, PhaseBreakdown* phases,
                       AccessCounts* accesses) noexcept;
 
@@ -206,7 +207,7 @@ class TrialBlockKernel {
   SimdExtension extension_ = SimdExtension::kScalar;
 };
 
-/// How a driver schedules kernel blocks onto threads — together with
+/// How kernel blocks are scheduled onto threads — together with
 /// TrialKernelConfig this is the *entire* definition of an engine.
 struct KernelLaunch {
   enum class Schedule {
@@ -220,7 +221,7 @@ struct KernelLaunch {
   };
 
   Schedule schedule = Schedule::kSerial;
-  /// Worker threads when the driver owns them; 0 = hardware concurrency.
+  /// Worker threads when the launch owns them; 0 = hardware concurrency.
   std::size_t num_threads = 0;
   /// Borrowed pool (kPool/kCosted); nullptr = own a pool of num_threads.
   parallel::ThreadPool* pool = nullptr;
@@ -230,7 +231,7 @@ struct KernelLaunch {
   std::size_t chunk = 256;
 };
 
-/// The one driver entry point: builds the kernel, schedules it per
+/// The one kernel entry point: builds the kernel, schedules it per
 /// `launch`, and (for instrumented configs) merges every worker's phase
 /// timers and access counts into `phases` / `accesses` (assigned, not
 /// accumulated; may be null). Exactly one of `ylt` / `sink` must be
@@ -239,6 +240,10 @@ void run_trial_kernel(const Portfolio& portfolio, const yet::YearEventTable& yet
                       const TrialKernelConfig& config, const KernelLaunch& launch,
                       YearLossTable* ylt, YltSink* sink, PhaseBreakdown* phases = nullptr,
                       AccessCounts* accesses = nullptr);
+
+/// True when the library was compiled with OpenMP support; without it the
+/// kOpenMp schedule runs the bit-identical thread-pool fallback.
+bool openmp_available() noexcept;
 
 /// The block-size heuristic behind TrialKernelConfig::block_trials == 0
 /// (historically the fused engine's tile heuristic): sizes the block so its

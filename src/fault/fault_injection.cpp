@@ -137,7 +137,8 @@ void FaultRegistry::arm(std::string_view site, std::string_view spec) {
   }
 }
 
-void FaultRegistry::arm_from_list(std::string_view list) {
+std::vector<std::string> FaultRegistry::arm_from_list(std::string_view list) {
+  std::vector<std::string> armed;
   std::size_t start = 0;
   while (start <= list.size()) {
     std::size_t end = list.find(',', start);
@@ -149,8 +150,11 @@ void FaultRegistry::arm_from_list(std::string_view list) {
     if (eq == std::string_view::npos) {
       throw std::invalid_argument("fault entry is not SITE=SPEC: " + std::string(entry));
     }
-    arm(trim(entry.substr(0, eq)), trim(entry.substr(eq + 1)));
+    const std::string_view site = trim(entry.substr(0, eq));
+    arm(site, trim(entry.substr(eq + 1)));
+    armed.emplace_back(site);
   }
+  return armed;
 }
 
 void FaultRegistry::disarm(std::string_view site) {
@@ -205,23 +209,8 @@ std::vector<std::string> FaultRegistry::armed_sites() const {
   return names;
 }
 
-ScopedArm::ScopedArm(std::string_view list) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t end = list.find(',', start);
-    if (end == std::string_view::npos) end = list.size();
-    const std::string_view entry = trim(list.substr(start, end - start));
-    start = end + 1;
-    if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string_view::npos) {
-      throw std::invalid_argument("fault entry is not SITE=SPEC: " + std::string(entry));
-    }
-    const std::string_view site = trim(entry.substr(0, eq));
-    FaultRegistry::global().arm(site, trim(entry.substr(eq + 1)));
-    armed_.emplace_back(site);
-  }
-}
+ScopedArm::ScopedArm(std::string_view list)
+    : armed_(FaultRegistry::global().arm_from_list(list)) {}
 
 ScopedArm::~ScopedArm() {
   for (const std::string& site : armed_) FaultRegistry::global().disarm(site);

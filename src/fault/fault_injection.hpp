@@ -87,9 +87,10 @@ class FaultRegistry {
 
   /// Arms (or re-arms) one site. "never" disarms it.
   void arm(std::string_view site, std::string_view spec);
-  /// Arms a comma-separated SITE=SPEC list ("a=always,b=every:3").
-  /// Whitespace around entries is ignored; empty list is a no-op.
-  void arm_from_list(std::string_view list);
+  /// Arms a comma-separated SITE=SPEC list ("a=always,b=every:3") and
+  /// returns the site names in list order. Whitespace around entries is
+  /// ignored; an empty list is a no-op.
+  std::vector<std::string> arm_from_list(std::string_view list);
   void disarm(std::string_view site);
   void disarm_all();
 

@@ -1,6 +1,7 @@
 #include "obs/export.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -98,6 +99,28 @@ void write_json_object(std::ostream& out, const Snapshot& snapshot) {
 }
 
 }  // namespace
+
+std::string json_escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 void write_snapshot_json(std::ostream& out, const Snapshot& snapshot) {
   write_json_object(out, snapshot);

@@ -7,6 +7,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/telemetry.hpp"
 
@@ -22,6 +23,10 @@ void write_snapshot_csv(std::ostream& out, const Snapshot& snapshot);
 /// prefixed "are_"; counters get a _total suffix, histogram aggregates
 /// become are_<name>_{count,sum_ns,min_ns,max_ns} gauges.
 void write_snapshot_prometheus(std::ostream& out, const Snapshot& snapshot);
+
+/// `s` escaped for use inside a JSON string literal: quote, backslash and
+/// control characters become escape sequences; other bytes pass through.
+std::string json_escape(std::string_view s);
 
 /// The snapshot as a JSON object fragment (no trailing newline), for
 /// embedding — bench records thread this into their `extra` field.

@@ -170,12 +170,12 @@ std::string MetricsServer::handle_path(const std::string& path) const {
     body << ",\"simd\":{\"detected\":\"" << simd::describe_mask(simd::detected_extensions())
          << "\",\"compiled\":\"" << simd::describe_mask(simd::compiled_extensions())
          << "\",\"best\":\"" << simd::name_of(simd::best_extension())
-         << "\",\"reason\":\"" << simd::best_extension_reason() << "\"}";
+         << "\",\"reason\":\"" << json_escape(simd::best_extension_reason()) << "\"}";
     body << ",\"uptime_seconds\":" << uptime_seconds;
     body << ",\"gauges\":{";
     for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
       if (i != 0) body << ",";
-      body << "\"" << snapshot.gauges[i].name << "\":" << snapshot.gauges[i].value;
+      body << "\"" << json_escape(snapshot.gauges[i].name) << "\":" << snapshot.gauges[i].value;
     }
     body << "}";
     // Per-source quote counts — the service counters by their stable names
@@ -186,11 +186,13 @@ std::string MetricsServer::handle_path(const std::string& path) const {
          << ",\"cached\":" << snapshot.counter_value("service.cache_hits")
          << ",\"rejected\":" << snapshot.counter_value("service.rejected")
          << ",\"failed\":" << snapshot.counter_value("service.failed") << "}";
+    // Site names come unvalidated from --fault / ARE_FAULT, so they are
+    // escaped like every other string in this document.
     body << ",\"armed_fault_sites\":[";
     const auto sites = fault::FaultRegistry::global().armed_sites();
     for (std::size_t i = 0; i < sites.size(); ++i) {
       if (i != 0) body << ",";
-      body << "\"" << sites[i] << "\"";
+      body << "\"" << json_escape(sites[i]) << "\"";
     }
     body << "]";
     if (options_.extra_status != nullptr) {

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/analysis.hpp"
+
 namespace are::pricing {
 
 namespace {
@@ -12,7 +14,8 @@ double premium_at(const core::Portfolio& base, std::size_t layer_index,
                   const PricingAssumptions& assumptions) {
   core::Portfolio bumped = base;
   bumped.layers[layer_index].terms = terms;
-  const core::YearLossTable ylt = core::run_sequential(bumped, yet_table);
+  const core::YearLossTable ylt =
+      core::run({bumped, yet_table, {.engine = core::EngineKind::kSequential}});
   return price_layer(ylt.layer_losses(layer_index), terms, assumptions).technical_premium;
 }
 
@@ -56,7 +59,8 @@ TermSensitivities term_sensitivities(const core::Portfolio& portfolio,
   }
 
   TermSensitivities sensitivities;
-  const core::YearLossTable base_ylt = core::run_sequential(portfolio, yet_table);
+  const core::YearLossTable base_ylt =
+      core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
   sensitivities.base = price_layer(base_ylt.layer_losses(layer_index),
                                    portfolio.layers[layer_index].terms, options.assumptions);
 

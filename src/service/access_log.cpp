@@ -4,33 +4,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/export.hpp"
+
 namespace are::service {
 
 namespace {
 
 constexpr std::string_view kFaultPrefix = "fault.injected.";
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -75,12 +55,12 @@ RequestLogEntry make_log_entry(const QuoteRequest& request, const QuoteResponse&
 
 std::string access_log_json(const RequestLogEntry& entry) {
   std::ostringstream out;
-  out << "{\"request_id\":\"" << json_escape(entry.request_id) << "\""
-      << ",\"portfolio\":\"" << json_escape(entry.portfolio_id) << "\""
+  out << "{\"request_id\":\"" << obs::json_escape(entry.request_id) << "\""
+      << ",\"portfolio\":\"" << obs::json_escape(entry.portfolio_id) << "\""
       << ",\"source\":\"" << entry.source << "\""
       << ",\"status\":\"" << entry.status << "\""
       << ",\"code\":\"" << entry.code << "\""
-      << ",\"engine\":\"" << json_escape(entry.engine) << "\""
+      << ",\"engine\":\"" << obs::json_escape(entry.engine) << "\""
       << ",\"fingerprint\":\"" << entry.fingerprint_hex << "\""
       << ",\"admission\":\"" << entry.admission << "\""
       << ",\"reason\":\"" << entry.admission_reason << "\""
@@ -90,7 +70,7 @@ std::string access_log_json(const RequestLogEntry& entry) {
       << ",\"bytes_spilled\":" << entry.bytes_spilled << ",\"fault_fires\":{";
   for (std::size_t i = 0; i < entry.fault_fires.size(); ++i) {
     if (i != 0) out << ",";
-    out << "\"" << json_escape(entry.fault_fires[i].first)
+    out << "\"" << obs::json_escape(entry.fault_fires[i].first)
         << "\":" << entry.fault_fires[i].second;
   }
   out << "}}";

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine_registry.hpp"
+#include "core/engine_presets.hpp"
 #include "obs/metrics_server.hpp"
 #include "obs/trace.hpp"
 #include "service/access_log.hpp"
@@ -166,8 +166,7 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
       effective_portfolio(book, request);
   const std::string& engine_name =
       request.engine.empty() ? config_.default_engine : request.engine;
-  const core::EngineDescriptor& descriptor =
-      core::EngineRegistry::global().require(engine_name);
+  const core::EnginePreset& preset = core::require_engine(engine_name);
 
   QuoteResponse response;
   response.request_id = request_id;
@@ -247,11 +246,11 @@ QuoteResponse AnalysisService::quote(const QuoteRequest& request) {
   }
 
   core::AnalysisConfig config;
-  config.engine = descriptor.kind;
+  config.engine = preset.kind;
   config.engine_name = engine_name;
   config.num_threads = config_.session.num_threads;
   config.window = request.window;
-  if (descriptor.supports_pool_reuse) config.pool = &session_.pool();
+  if (preset.supports_pool_reuse) config.pool = &session_.pool();
   config.ground_up_replay = replay.get();
   config.ground_up_capture = capture.get();
   core::InstrumentationSink sink;

@@ -54,7 +54,7 @@ struct ServiceConfig {
   BrokerConfig broker;
   std::size_t cache_entries = 64;
   pricing::PricingAssumptions assumptions;
-  /// Registry name used when a request does not name an engine.
+  /// Engine preset name used when a request does not name an engine.
   std::string default_engine = "fused";
   /// Sharded-output knobs for quotes with QuoteRequest::sharded (shard
   /// size, spill dir, memory budget). The tiny-budget + spill-dir
@@ -83,7 +83,7 @@ struct TermsOverride {
 struct QuoteRequest {
   std::string portfolio_id;
   std::vector<TermsOverride> overrides;
-  /// Engine registry name; empty = ServiceConfig::default_engine.
+  /// Engine preset name; empty = ServiceConfig::default_engine.
   std::string engine;
   std::optional<core::CoverageWindow> window;
   /// Fill QuoteOutcome::phases (Fig-6b attribution for this request).

@@ -98,28 +98,6 @@ bool parse_flag(const std::map<std::string, std::string>& fields, const char* ke
 
 // ---- JSON rendering ---------------------------------------------------------
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
   char buf[40];
@@ -133,7 +111,7 @@ std::string json_double(double v) {
 std::string error_json(const core::Status& status) {
   return "{\"status\":\"error\",\"code\":\"" + std::string(core::to_string(status.code())) +
          "\",\"retryable\":" + (status.retryable() ? "true" : "false") +
-         ",\"message\":\"" + json_escape(status.message()) + "\"}";
+         ",\"message\":\"" + obs::json_escape(status.message()) + "\"}";
 }
 
 std::string error_json(const std::string& message) {
@@ -150,7 +128,7 @@ std::string admission_json(const AdmissionDecision& decision) {
       << ",\"pool_tasks\":" << decision.pool_tasks
       << ",\"pool_idle_ns\":" << decision.pool_idle_ns
       << ",\"queue_wait_seconds\":" << json_double(decision.queue_wait_seconds)
-      << ",\"message\":\"" << json_escape(decision.message) << "\"}";
+      << ",\"message\":\"" << obs::json_escape(decision.message) << "\"}";
   return out.str();
 }
 
@@ -163,14 +141,14 @@ std::string response_json(const QuoteResponse& response) {
   const bool failed = response.source == QuoteSource::kFailed;
   std::ostringstream out;
   out << "{\"status\":\"" << (rejected ? "rejected" : failed ? "error" : "ok") << "\""
-      << ",\"request_id\":\"" << json_escape(response.request_id) << "\"";
+      << ",\"request_id\":\"" << obs::json_escape(response.request_id) << "\"";
   if (!response.status.ok()) {
     out << ",\"code\":\"" << core::to_string(response.status.code()) << "\""
         << ",\"retryable\":" << (response.status.retryable() ? "true" : "false")
-        << ",\"message\":\"" << json_escape(response.status.message()) << "\"";
+        << ",\"message\":\"" << obs::json_escape(response.status.message()) << "\"";
   }
   out << ",\"source\":\"" << to_string(response.source) << "\""
-      << ",\"engine\":\"" << json_escape(response.engine) << "\"";
+      << ",\"engine\":\"" << obs::json_escape(response.engine) << "\"";
   {
     char fp[24];
     std::snprintf(fp, sizeof fp, "%016llx",
@@ -347,7 +325,7 @@ std::string Server::handle_update(const std::string& line) {
   if (options_.verbose) {
     std::cerr << "[serve] updated " << portfolio->second << " layer " << layer_id << '\n';
   }
-  return "{\"status\":\"ok\",\"updated\":\"" + json_escape(portfolio->second) + "\"}";
+  return "{\"status\":\"ok\",\"updated\":\"" + obs::json_escape(portfolio->second) + "\"}";
 }
 
 std::string Server::handle_line(const std::string& line) {
@@ -376,10 +354,30 @@ std::string Server::handle_line(const std::string& line) {
 int Server::serve() {
   const int listen_fd = make_listen_socket(options_.socket_path);
   std::vector<std::thread> connections;
-  // Open connection fds, so shutdown can unblock threads parked in read().
+  // Open connection fds, so shutdown can unblock threads parked in read(),
+  // and the ids of connection threads that have finished but not yet been
+  // joined (both guarded by conns_mutex).
   std::mutex conns_mutex;
   std::vector<int> open_conns;
+  std::vector<std::thread::id> finished;
+  // Joins finished connection threads, so a long-running server holds a
+  // thread (and its stack) per open connection, not per connection ever
+  // accepted.
+  const auto reap_finished = [&] {
+    std::vector<std::thread::id> done;
+    {
+      std::lock_guard<std::mutex> guard(conns_mutex);
+      done.swap(finished);
+    }
+    for (const std::thread::id id : done) {
+      const auto it = std::find_if(connections.begin(), connections.end(),
+                                   [id](const std::thread& t) { return t.get_id() == id; });
+      it->join();
+      connections.erase(it);
+    }
+  };
   while (!stop_requested()) {
+    reap_finished();
     pollfd pfd{listen_fd, POLLIN, 0};
     const int ready = ::poll(&pfd, 1, 200);
     if (ready < 0 && errno != EINTR) break;
@@ -397,7 +395,7 @@ int Server::serve() {
       std::lock_guard<std::mutex> guard(conns_mutex);
       open_conns.push_back(conn);
     }
-    connections.emplace_back([this, conn, &conns_mutex, &open_conns] {
+    connections.emplace_back([this, conn, &conns_mutex, &open_conns, &finished] {
       std::string pending;
       char buf[4096];
       for (;;) {
@@ -416,6 +414,7 @@ int Server::serve() {
       {
         std::lock_guard<std::mutex> guard(conns_mutex);
         open_conns.erase(std::find(open_conns.begin(), open_conns.end(), conn));
+        finished.push_back(std::this_thread::get_id());
       }
       ::close(conn);
     });

@@ -32,6 +32,7 @@
 //
 // handle_line() is the protocol core and is directly testable without a
 // socket; serve() owns the accept loop (one thread per connection, joined
+// by the loop once the connection closes; open ones are drained and joined
 // on shutdown).
 
 #include <atomic>

@@ -13,7 +13,7 @@
 //
 // Bit-identity contract: every operation here rounds exactly like the
 // corresponding scalar expression in the reference engine, so the SIMD
-// engine's YLT is bit-identical to run_sequential's. Two details carry
+// engine's YLT is bit-identical to the sequential engine's. Two details carry
 // that contract:
 //   * min/max follow the x86 MINPD/MAXPD convention (return the SECOND
 //     operand on equality), which matches the `a < b ? a : b` /

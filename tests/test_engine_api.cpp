@@ -1,16 +1,16 @@
-// Tests for the unified engine API: EngineRegistry lookup by kind and by
-// name, AnalysisConfig validation, capability enforcement in core::run,
-// instrumentation facts, custom-engine registration, and the cross-engine
-// equivalence sweep asserting every registered bit-identical engine matches
-// run_sequential through the one front door.
+// Tests for the unified engine API: preset-table lookup by kind and by
+// name, AnalysisConfig validation, the pool check in core::run,
+// instrumentation facts, and the cross-engine equivalence sweep asserting
+// every bit-identical preset matches the sequential engine through the one
+// front door.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <memory>
 
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "core/openmp_engine.hpp"
+#include "core/engine_presets.hpp"
 #include "elt/synthetic.hpp"
 #include "parallel/thread_pool.hpp"
 #include "yet/generator.hpp"
@@ -19,10 +19,8 @@ namespace {
 
 using namespace are;
 using core::AnalysisConfig;
-using core::AnalysisRequest;
-using core::EngineDescriptor;
 using core::EngineKind;
-using core::EngineRegistry;
+using core::EnginePreset;
 
 constexpr std::size_t kUniverse = 10'000;
 
@@ -58,6 +56,15 @@ yet::YearEventTable test_yet(std::uint64_t trials = 300, double events = 40.0) {
   return yet::generate_uniform_yet(config, kUniverse);
 }
 
+constexpr EngineKind kAllKinds[] = {
+    EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked, EngineKind::kOpenMp,
+    EngineKind::kSimd, EngineKind::kWindowed, EngineKind::kInstrumented, EngineKind::kFused};
+
+core::YearLossTable sequential_ylt(const core::Portfolio& portfolio,
+                                   const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = EngineKind::kSequential}});
+}
+
 void expect_identical(const core::YearLossTable& a, const core::YearLossTable& b) {
   ASSERT_EQ(a.num_layers(), b.num_layers());
   ASSERT_EQ(a.num_trials(), b.num_trials());
@@ -69,32 +76,26 @@ void expect_identical(const core::YearLossTable& a, const core::YearLossTable& b
   }
 }
 
-// --- Registry lookup ----------------------------------------------------------
+// --- Preset table ---------------------------------------------------------------
 
-TEST(EngineRegistry, LooksUpEveryBuiltinByKindAndByName) {
-  const auto& registry = EngineRegistry::global();
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked,
-        EngineKind::kOpenMp, EngineKind::kSimd, EngineKind::kWindowed,
-        EngineKind::kInstrumented, EngineKind::kFused}) {
-    const EngineDescriptor* by_kind = registry.find(kind);
-    ASSERT_NE(by_kind, nullptr) << core::to_string(kind);
-    EXPECT_EQ(by_kind->kind, kind);
+TEST(EnginePresets, LooksUpEveryKindByKindAndByName) {
+  for (const EngineKind kind : kAllKinds) {
+    const EnginePreset& by_kind = core::find_engine(kind);
+    EXPECT_EQ(by_kind.kind, kind);
     // The canonical name round-trips through name lookup and to_string.
-    EXPECT_EQ(by_kind->name, core::to_string(kind));
-    const EngineDescriptor* by_name = registry.find(by_kind->name);
-    ASSERT_NE(by_name, nullptr);
-    EXPECT_EQ(by_name, by_kind);
+    EXPECT_EQ(by_kind.name, core::to_string(kind));
+    EXPECT_EQ(core::find_engine(by_kind.name), &by_kind);
   }
-  // >= : a later test registers a custom engine into global().
-  EXPECT_GE(registry.descriptors().size(), 8u);
+  // One row per kind, no duplicate names.
+  EXPECT_EQ(core::engine_presets().size(), std::size(kAllKinds));
+  EXPECT_EQ(core::known_engine_names(),
+            "seq, parallel, chunked, openmp, simd, windowed, fused, instrumented");
 }
 
-TEST(EngineRegistry, UnknownNameListsKnownEngines) {
-  const auto& registry = EngineRegistry::global();
-  EXPECT_EQ(registry.find("warp-drive"), nullptr);
+TEST(EnginePresets, UnknownNameListsKnownEngines) {
+  EXPECT_EQ(core::find_engine("warp-drive"), nullptr);
   try {
-    registry.require("warp-drive");
+    core::require_engine("warp-drive");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     const std::string message = error.what();
@@ -104,58 +105,22 @@ TEST(EngineRegistry, UnknownNameListsKnownEngines) {
   }
 }
 
-TEST(EngineRegistry, DescriptorCapabilitiesMatchTheEngines) {
-  const auto& registry = EngineRegistry::global();
-  EXPECT_FALSE(registry.require("windowed").bit_identical_to_sequential);
-  EXPECT_TRUE(registry.require("parallel").supports_pool_reuse);
-  EXPECT_TRUE(registry.require("simd").supports_pool_reuse);
-  // Every builtin drives the shared trial kernel, so the cross-cutting
-  // capabilities are uniform: windowing, the Fig-6b breakdown, and sharded
-  // output hold for every registered engine kind.
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked,
-        EngineKind::kOpenMp, EngineKind::kSimd, EngineKind::kWindowed,
-        EngineKind::kInstrumented, EngineKind::kFused}) {
-    const EngineDescriptor& descriptor = EngineRegistry::global().require(kind);
-    EXPECT_TRUE(descriptor.supports_windowing) << descriptor.name;
-    EXPECT_TRUE(descriptor.supports_instrumentation) << descriptor.name;
-    EXPECT_TRUE(descriptor.supports_sharded_output()) << descriptor.name;
+TEST(EnginePresets, RowsCarryTheEngineFacts) {
+  EXPECT_FALSE(core::require_engine("windowed").bit_identical_to_sequential);
+  for (const EnginePreset& preset : core::engine_presets()) {
+    const bool pool = preset.kind == EngineKind::kParallel ||
+                      preset.kind == EngineKind::kSimd || preset.kind == EngineKind::kFused;
+    EXPECT_EQ(preset.supports_pool_reuse, pool) << preset.name;
+    // Only the rows that resolve a lane type depend on the dispatch decision.
+    EXPECT_EQ(preset.availability_note.find("auto runs") != std::string::npos,
+              preset.resolved_lanes)
+        << preset.name;
   }
-  // Every builtin is runnable in every build (openmp/simd degrade, with the
-  // story in the availability note).
-  for (const auto& descriptor : registry.descriptors()) {
-    EXPECT_TRUE(descriptor.available_in_this_build) << descriptor.name;
-  }
-  EXPECT_FALSE(registry.require("simd").availability_note.empty());
+  EXPECT_TRUE(core::require_engine("instrumented").always_instrument);
+  EXPECT_FALSE(core::require_engine("openmp").availability_note.empty());
 }
 
-TEST(EngineRegistry, RegistersAndReplacesCustomEngines) {
-  EngineRegistry registry;  // isolated from global()
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kSequential;
-  custom.name = "custom";
-  custom.summary = "test double";
-  custom.run = [](const AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  registry.register_engine(custom);
-  ASSERT_NE(registry.find("custom"), nullptr);
-  EXPECT_EQ(registry.known_names(), "custom");
-
-  custom.summary = "replaced";
-  registry.register_engine(custom);  // same name: replace, not append
-  EXPECT_EQ(registry.descriptors().size(), 1u);
-  EXPECT_EQ(registry.find("custom")->summary, "replaced");
-
-  EngineDescriptor bad;
-  bad.run = custom.run;
-  EXPECT_THROW(registry.register_engine(bad), std::invalid_argument);  // empty name
-  bad.name = "no-run";
-  bad.run = nullptr;
-  EXPECT_THROW(registry.register_engine(bad), std::invalid_argument);
-}
-
-// --- AnalysisConfig validation and capability enforcement ---------------------
+// --- AnalysisConfig validation and the checks in core::run --------------------
 
 TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroChunks) {
   AnalysisConfig config;
@@ -175,40 +140,17 @@ TEST(AnalysisConfig, ValidateRejectsBadWindowAndZeroChunks) {
   EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
-TEST(UnifiedRun, RejectsWindowOnEngineWithoutWindowSupport) {
-  // Every kernel-backed builtin applies windows; the capability gate still
-  // protects custom engines that do not.
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kSequential;
-  custom.name = "no-window";
-  custom.summary = "test double without window support";
-  custom.supports_windowing = false;
-  custom.run = [](const AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  EngineRegistry::global().register_engine(custom);
-
-  const auto portfolio = test_portfolio(1);
-  const auto yet_table = test_yet(20, 10.0);
-  AnalysisConfig config;
-  config.engine_name = "no-window";
-  config.window = core::CoverageWindow{0.0f, 0.5f};
-  EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
-}
-
 TEST(UnifiedRun, EveryEngineAppliesTheSameWindowSemantics) {
-  // The window is a kernel feature now: any engine with a real mid-year
-  // window must produce exactly run_windowed's YLT for that window.
+  // The window is a kernel feature: any engine with a real mid-year window
+  // must produce exactly the windowed engine's YLT for that window.
   const auto portfolio = test_portfolio(2);
   const auto yet_table = test_yet(300, 40.0);
   const core::CoverageWindow window{0.25f, 0.75f};
-  const auto reference = core::run_windowed(portfolio, yet_table, window);
-  const auto full_year = core::run_sequential(portfolio, yet_table);
+  const auto reference =
+      core::run({portfolio, yet_table, {.engine = EngineKind::kWindowed, .window = window}});
+  const auto full_year = sequential_ylt(portfolio, yet_table);
 
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kParallel, EngineKind::kChunked,
-        EngineKind::kOpenMp, EngineKind::kSimd, EngineKind::kWindowed,
-        EngineKind::kInstrumented, EngineKind::kFused}) {
+  for (const EngineKind kind : kAllKinds) {
     AnalysisConfig config;
     config.engine = kind;
     config.num_threads = 3;
@@ -257,11 +199,11 @@ TEST(UnifiedRun, RejectsSimdExtensionNotCompiledIntoThisBuild) {
 TEST(UnifiedRun, EveryBitIdenticalEngineMatchesSequential) {
   const auto portfolio = test_portfolio(3);
   const auto yet_table = test_yet(400, 60.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
 
   std::size_t swept = 0;
-  for (const auto& engine : EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
+  for (const auto& engine : core::engine_presets()) {
+    if (!engine.bit_identical_to_sequential) continue;
     AnalysisConfig config;
     config.engine_name = engine.name;
     config.num_threads = 3;
@@ -275,9 +217,9 @@ TEST(UnifiedRun, EveryBitIdenticalEngineMatchesSequential) {
 TEST(UnifiedRun, GenericLookupPathAlsoBitIdentical) {
   const auto portfolio = test_portfolio(3, elt::LookupKind::kRobinHood);
   const auto yet_table = test_yet(200, 40.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
-  for (const auto& engine : EngineRegistry::global().descriptors()) {
-    if (!engine.bit_identical_to_sequential || !engine.available_in_this_build) continue;
+  const auto reference = sequential_ylt(portfolio, yet_table);
+  for (const auto& engine : core::engine_presets()) {
+    if (!engine.bit_identical_to_sequential) continue;
     AnalysisConfig config;
     config.engine_name = engine.name;
     config.num_threads = 2;
@@ -289,7 +231,7 @@ TEST(UnifiedRun, GenericLookupPathAlsoBitIdentical) {
 TEST(UnifiedRun, FullYearWindowMatchesSequential) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
   AnalysisConfig config;
   config.engine = EngineKind::kWindowed;
   config.window = core::CoverageWindow{0.0f, 1.0f};
@@ -301,9 +243,9 @@ TEST(UnifiedRun, FullYearWindowMatchesSequential) {
 TEST(UnifiedRun, BorrowedPoolReusedAcrossRunsStaysBitIdentical) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
   parallel::ThreadPool pool(3);
-  for (const EngineKind kind : {EngineKind::kParallel, EngineKind::kSimd}) {
+  for (const EngineKind kind : {EngineKind::kParallel, EngineKind::kSimd, EngineKind::kFused}) {
     AnalysisConfig config;
     config.engine = kind;
     config.pool = &pool;
@@ -328,8 +270,8 @@ TEST(UnifiedRun, SinkRecordsEngineAndSimdResolution) {
   EXPECT_EQ(*sink.engine_used, EngineKind::kSimd);
   ASSERT_TRUE(sink.simd_extension_used.has_value());
   EXPECT_EQ(*sink.simd_extension_used,
-            core::resolve_simd_extension(portfolio, {1, core::SimdExtension::kAuto}));
-  EXPECT_FALSE(sink.phases.has_value());  // only kInstrumented fills phases
+            core::resolve_simd_extension(portfolio, core::SimdExtension::kAuto));
+  EXPECT_FALSE(sink.phases.has_value());  // uninstrumented run: no breakdown
 }
 
 TEST(UnifiedRun, InstrumentedEngineFillsPhasesAndAccessCounts) {
@@ -350,30 +292,19 @@ TEST(UnifiedRun, InstrumentedEngineFillsPhasesAndAccessCounts) {
   EXPECT_EQ(sink.accesses->events_fetched, predicted.events_fetched);
 }
 
-TEST(UnifiedRun, DispatchesByNameToCustomEngineSharingABuiltinKind) {
-  // EngineKind is a closed enum, so a runtime-registered backend reuses an
-  // existing kind; AnalysisConfig::engine_name must reach it anyway (kind
-  // lookup would find the builtin first).
-  static bool custom_ran = false;
-  EngineDescriptor custom;
-  custom.kind = EngineKind::kParallel;
-  custom.name = "custom-parallel";
-  custom.summary = "runtime-registered test engine";
-  custom.bit_identical_to_sequential = false;  // keep registry sweeps honest
-  custom.run = [](const AnalysisRequest& request) {
-    custom_ran = true;
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  EngineRegistry::global().register_engine(custom);
-
+TEST(UnifiedRun, DispatchesByNameBeforeKind) {
+  // AnalysisConfig::engine_name wins over `engine` (the CLI's path).
   const auto portfolio = test_portfolio(1);
   const auto yet_table = test_yet(30, 10.0);
+  core::InstrumentationSink sink;
   AnalysisConfig config;
-  config.engine_name = "custom-parallel";
-  custom_ran = false;
+  config.engine = EngineKind::kParallel;
+  config.engine_name = "chunked";
+  config.instrumentation = &sink;
   const auto ylt = core::run({portfolio, yet_table, config});
-  EXPECT_TRUE(custom_ran) << "builtin kParallel adapter ran instead of the custom engine";
-  expect_identical(core::run_sequential(portfolio, yet_table), ylt);
+  ASSERT_TRUE(sink.engine_used.has_value());
+  EXPECT_EQ(*sink.engine_used, EngineKind::kChunked);
+  expect_identical(sequential_ylt(portfolio, yet_table), ylt);
 
   config.engine_name = "no-such-engine";
   EXPECT_THROW(core::run({portfolio, yet_table, config}), std::invalid_argument);
@@ -384,7 +315,7 @@ TEST(UnifiedRun, RunsWithoutSinkAndWithDefaults) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet(50, 10.0);
   const auto ylt = core::run({portfolio, yet_table});
-  expect_identical(core::run_sequential(portfolio, yet_table), ylt);
+  expect_identical(sequential_ylt(portfolio, yet_table), ylt);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // Tests for the financial module: the excess-of-loss primitive, ELT terms,
 // layer terms (Table I), the path-dependent aggregate accumulator, and the
 // extension features (reinstatements, multi-year limits, loss
-// distributions). Property sweeps use TEST_P.
+// distributions and the lognormal discretizer). Property sweeps use TEST_P.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
+#include "financial/discretize.hpp"
 #include "financial/loss_distribution.hpp"
 #include "financial/reinstatement.hpp"
 #include "financial/terms.hpp"
@@ -343,6 +344,51 @@ TEST(LossDistribution, MixtureInterpolatesMeans) {
   const auto mixed = a.mix(b, 0.25);
   EXPECT_DOUBLE_EQ(mixed.mean(), 1.0);
   EXPECT_THROW(a.mix(b, 1.5), std::invalid_argument);
+}
+
+// --- Lognormal discretizer (severity distributions on the LossDistribution grid)
+
+TEST(Discretize, LognormalCdfSanity) {
+  EXPECT_DOUBLE_EQ(lognormal_cdf(0.0, 0.0, 1.0), 0.0);
+  EXPECT_NEAR(lognormal_cdf(1.0, 0.0, 1.0), 0.5, 1e-12);  // median e^0
+  EXPECT_GT(lognormal_cdf(10.0, 0.0, 1.0), 0.98);
+}
+
+TEST(Discretize, PreservesMeanApproximately) {
+  const double mean = 100.0;
+  const auto dist = discretize_lognormal(mean, 0.5, 2.0, 512);
+  EXPECT_NEAR(dist.mean(), mean, 0.05 * mean);
+}
+
+TEST(Discretize, ZeroCvGivesPointMass) {
+  const auto dist = discretize_lognormal(40.0, 0.0, 10.0, 16);
+  EXPECT_DOUBLE_EQ(dist.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(dist.mean(), 40.0);
+}
+
+TEST(Discretize, ZeroMeanGivesZeroPointMass) {
+  const auto dist = discretize_lognormal(0.0, 0.5, 1.0, 16);
+  EXPECT_DOUBLE_EQ(dist.mean(), 0.0);
+}
+
+TEST(Discretize, HigherCvMoreVariance) {
+  const auto narrow = discretize_lognormal(100.0, 0.2, 1.0, 1024);
+  const auto wide = discretize_lognormal(100.0, 0.8, 1.0, 1024);
+  EXPECT_GT(wide.variance(), narrow.variance());
+}
+
+TEST(Discretize, MassSumsToOne) {
+  const auto dist = discretize_lognormal(50.0, 0.6, 5.0, 64);
+  double total = 0.0;
+  for (double p : dist.mass()) total += p;
+  EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+TEST(Discretize, RejectsBadArguments) {
+  EXPECT_THROW(discretize_lognormal(-1.0, 0.5, 1.0, 16), std::invalid_argument);
+  EXPECT_THROW(discretize_lognormal(1.0, -0.5, 1.0, 16), std::invalid_argument);
+  EXPECT_THROW(discretize_lognormal(1.0, 0.5, 0.0, 16), std::invalid_argument);
+  EXPECT_THROW(discretize_lognormal(1.0, 0.5, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

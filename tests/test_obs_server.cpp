@@ -26,6 +26,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -277,6 +278,96 @@ TEST_F(ObsServer, HealthzStatuszAndUnknownPaths) {
   const std::string draining = server->handle_path("/healthz");
   EXPECT_NE(draining.find("503"), std::string::npos);
   EXPECT_NE(draining.find("shutting-down"), std::string::npos);
+}
+
+/// Minimal recursive-descent JSON syntax check (RFC 8259 grammar, no
+/// semantic limits) — enough to prove a rendered document parses.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool document() {
+    if (!value()) return false;
+    skip_space();
+    return pos_ == text_.size();
+  }
+
+ private:
+  static bool is_one_of(char c, std::string_view set) {
+    return set.find(c) != std::string_view::npos;
+  }
+  void skip_space() {
+    while (pos_ < text_.size() && is_one_of(text_[pos_], " \t\r\n")) ++pos_;
+  }
+  bool eat(char c) {
+    skip_space();
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c == '\\') {
+        if (pos_ >= text_.size()) return false;
+        const char escaped = text_[pos_++];
+        if (escaped == 'u') {
+          if (pos_ + 4 > text_.size()) return false;
+          pos_ += 4;
+        } else if (!is_one_of(escaped, "\"\\/bfnrt")) {
+          return false;
+        }
+      }
+    }
+    return false;
+  }
+  bool value() {
+    skip_space();
+    if (pos_ >= text_.size()) return false;
+    const char c = text_[pos_];
+    if (c == '"') return string();
+    if (c == '{') return members('}', true);
+    if (c == '[') return members(']', false);
+    for (const std::string_view literal : {"true", "false", "null"}) {
+      if (text_.substr(pos_, literal.size()) == literal) {
+        pos_ += literal.size();
+        return true;
+      }
+    }
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && is_one_of(text_[pos_], "+-.eE0123456789")) ++pos_;
+    return pos_ > start;
+  }
+  bool members(char close, bool keyed) {
+    ++pos_;  // the opening bracket
+    if (eat(close)) return true;
+    do {
+      if (keyed && !(string() && eat(':'))) return false;
+      if (!value()) return false;
+    } while (eat(','));
+    return eat(close);
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+TEST_F(ObsServer, StatuszEscapesFaultSiteNames) {
+  // Site names reach the registry unvalidated from --fault / ARE_FAULT; a
+  // quote or backslash in one must not break the /statusz document.
+  const fault::ScopedArm scoped("a\"b\\c=always");
+  obs::MetricsServer server;
+  const std::string response = server.handle_path("/statusz");
+  const std::size_t body = response.find("\r\n\r\n");
+  ASSERT_NE(body, std::string::npos);
+  const std::string json = response.substr(body + 4);
+  EXPECT_TRUE(JsonChecker(json).document()) << json;
+  EXPECT_NE(json.find("\"armed_fault_sites\":[\"a\\\"b\\\\c\"]"), std::string::npos) << json;
 }
 
 // --- The access log -----------------------------------------------------------

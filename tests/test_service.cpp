@@ -12,12 +12,16 @@
 //   - AnalysisService cold -> cached -> delta flow, durable updates,
 //     rejection, and concurrent quoting;
 //   - concurrent core::run() hammering one borrowed pool + shared tables;
-//   - the line protocol (handle_line) and a full AF_UNIX round trip.
+//   - the line protocol (handle_line), a full AF_UNIX round trip, and
+//     serve() joining finished connection threads while it runs.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -558,6 +562,41 @@ TEST_F(Service, SocketRoundTrip) {
             std::string::npos);
   serving.join();
   EXPECT_FALSE(std::filesystem::exists(socket_path));
+}
+
+/// Lines of /proc/self/maps: every live thread stack adds mappings.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST_F(Service, ServeJoinsFinishedConnectionThreads) {
+  // One connection per round trip: a server that only joins its connection
+  // threads at shutdown grows by a thread stack (two mappings) per request.
+  auto service_ptr = make_service();
+  const std::string socket_path =
+      (std::filesystem::temp_directory_path() /
+       ("are_test_service_reap." + std::to_string(::getpid()) + ".sock"))
+          .string();
+  service::Server server(*service_ptr, {.socket_path = socket_path});
+  std::thread serving([&] { server.serve(); });
+  while (!std::filesystem::exists(socket_path)) std::this_thread::yield();
+
+  constexpr int kWarmup = 20;
+  constexpr int kRoundTrips = 300;
+  for (int i = 0; i < kWarmup; ++i) service::Server::round_trip(socket_path, "PING");
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < kRoundTrips; ++i) {
+    ASSERT_EQ(service::Server::round_trip(socket_path, "PING"),
+              "{\"status\":\"ok\",\"pong\":true}");
+  }
+  const std::size_t after = mapping_count();
+  service::Server::round_trip(socket_path, "SHUTDOWN");
+  serving.join();
+  EXPECT_LT(after, before + 40) << "mappings grew from " << before << " to " << after
+                                << " over " << kRoundTrips << " connections";
 }
 
 }  // namespace

@@ -14,9 +14,7 @@
 #include <vector>
 
 #include "core/analysis.hpp"
-#include "core/engine.hpp"
-#include "core/engine_registry.hpp"
-#include "core/fused_engine.hpp"
+#include "core/engine_presets.hpp"
 #include "elt/synthetic.hpp"
 #include "io/binary.hpp"
 #include "io/csv.hpp"
@@ -84,12 +82,16 @@ void expect_identical(const YearLossTable& a, const YearLossTable& b) {
   }
 }
 
+YearLossTable sequential_ylt(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
 core::AnalysisConfig sharded_config(std::string engine, std::uint64_t shard_trials,
                                     std::size_t budget_bytes = 0) {
   core::AnalysisConfig config;
-  const auto& descriptor = core::EngineRegistry::global().require(engine);
-  config.engine = descriptor.kind;
-  config.engine_name = descriptor.name;
+  const auto& preset = core::require_engine(engine);
+  config.engine = preset.kind;
+  config.engine_name = preset.name;
   config.output = core::OutputMode::kSharded;
   config.sharding.shard_trials = shard_trials;
   config.sharding.memory_budget_bytes = budget_bytes;
@@ -105,7 +107,7 @@ TEST_P(ShardedEquivalence, MaterializeMatchesSequential) {
   const auto [engine, shard_trials] = GetParam();
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(401, 50.0);  // prime trial count: ragged last shard
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = sequential_ylt(portfolio, yet_table);
 
   auto sharded =
       shard::run_sharded({portfolio, yet_table, sharded_config(engine, shard_trials)});
@@ -134,7 +136,7 @@ TEST(ShardedYlt, CsvStreamMatchesMaterializedWriter) {
   std::ostringstream streamed;
   io::write_ylt_csv(streamed, sharded);
 
-  const auto materialized = core::run_sequential(portfolio, yet_table);
+  const auto materialized = sequential_ylt(portfolio, yet_table);
   std::ostringstream direct;
   io::write_ylt_csv(direct, materialized);
   EXPECT_EQ(streamed.str(), direct.str());
@@ -145,7 +147,7 @@ TEST(ShardedYlt, CsvStreamMatchesMaterializedWriter) {
 TEST(ShardedYlt, TinyBudgetForcesSpillAndRestoresExactBytes) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(500, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = sequential_ylt(portfolio, yet_table);
 
   // 2 layers x 25 trials x 8 B = 400 B per shard; budget of one shard
   // forces every other shard out during both the write and the read pass.
@@ -167,7 +169,7 @@ TEST(ShardedYlt, ThreadedEnginesForcedSpillStaysBitIdentical) {
   // sequential bytes.
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = sequential_ylt(portfolio, yet_table);
 
   for (const std::string engine : {"parallel", "openmp", "simd"}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{0}}) {
@@ -188,7 +190,7 @@ TEST(ShardedYlt, ThreadedEnginesForcedSpillStaysBitIdentical) {
 TEST(ShardedYlt, MultiThreadedFusedSpillingIsDeterministic) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 50.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = sequential_ylt(portfolio, yet_table);
 
   auto config = sharded_config("fused", 16, /*budget_bytes=*/1024);
   config.num_threads = 0;  // hardware concurrency
@@ -318,13 +320,13 @@ TEST(ShardBinary, RoundTripAndCorruptionDetection) {
 TEST(YltSink, SequentialToMaterializedSinkMatchesSequential) {
   const Portfolio portfolio = synthetic_portfolio(2, 2);
   const auto yet_table = skewed_yet(200, 40.0);
-  const auto sequential = core::run_sequential(portfolio, yet_table);
+  const auto sequential = sequential_ylt(portfolio, yet_table);
 
   std::vector<std::uint32_t> ids;
   for (const auto& layer : portfolio.layers) ids.push_back(layer.id);
   YearLossTable ylt(ids, yet_table.num_trials());
   core::MaterializedYltSink sink(ylt);
-  core::run_sequential_to_sink(portfolio, yet_table, sink);
+  core::run_to_sink({portfolio, yet_table, {.engine = core::EngineKind::kSequential}}, sink);
   expect_identical(sequential, ylt);
 }
 
@@ -339,32 +341,12 @@ TEST(YltSink, ShardedSinkRejectsBlocksCrossingShards) {
   EXPECT_THROW(sink.emit(0, 95, {block.data(), 10}), std::out_of_range);  // past the end
 }
 
-TEST(YltSink, RunRejectsShardedOutputAndSinklessEngines) {
+TEST(YltSink, RunRejectsShardedOutputAndZeroShardTrials) {
   const Portfolio portfolio = synthetic_portfolio(1, 1);
   const auto yet_table = skewed_yet(10, 5.0);
 
   // run() serves materialized output only.
   EXPECT_THROW(core::run({portfolio, yet_table, sharded_config("seq", 4)}),
-               std::invalid_argument);
-
-  // Every kernel-backed builtin carries a run_to_sink adapter now.
-  const auto& registry = core::EngineRegistry::global();
-  for (const char* name :
-       {"seq", "parallel", "chunked", "openmp", "simd", "windowed", "instrumented", "fused"}) {
-    EXPECT_TRUE(registry.require(name).supports_sharded_output()) << name;
-  }
-
-  // A custom engine without a run_to_sink adapter still rejects sharded
-  // execution.
-  core::EngineDescriptor sinkless;
-  sinkless.kind = core::EngineKind::kSequential;
-  sinkless.name = "sinkless";
-  sinkless.summary = "test double without a sink adapter";
-  sinkless.run = [](const core::AnalysisRequest& request) {
-    return core::run_sequential(request.portfolio, request.yet_table);
-  };
-  core::EngineRegistry::global().register_engine(sinkless);
-  EXPECT_THROW(shard::run_sharded({portfolio, yet_table, sharded_config("sinkless", 4)}),
                std::invalid_argument);
 
   // shard_trials == 0 is rejected by config validation.
@@ -377,7 +359,7 @@ TEST(YltSink, RunRejectsShardedOutputAndSinklessEngines) {
 TEST(ShardedReduce, EpAalTvarMatchInMemoryMetrics) {
   const Portfolio portfolio = synthetic_portfolio(2, 3);
   const auto yet_table = skewed_yet(400, 50.0);
-  const auto materialized = core::run_sequential(portfolio, yet_table);
+  const auto materialized = sequential_ylt(portfolio, yet_table);
 
   // A budget of ~2 shards keeps the reduction genuinely out-of-core.
   auto sharded = shard::run_sharded(

@@ -12,7 +12,7 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
-#include "core/engine_registry.hpp"
+#include "core/engine_presets.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/probe_dispatch.hpp"
 #include "elt/robin_hood_table.hpp"
@@ -251,7 +251,7 @@ TEST(SimdDispatchIdentity, EveryRuntimeOverrideIsByteIdentical) {
         SCOPED_TRACE(std::string(engine) + " under ARE_SIMD_EXT=" + std::string(simd::name_of(extension)));
         core::AnalysisConfig config;
         config.engine_name = engine;
-        config.engine = core::EngineRegistry::global().require(engine).kind;
+        config.engine = core::require_engine(engine).kind;
         config.num_threads = 2;
         const std::string csv =
             ylt_csv(core::run({portfolio, yet_table, std::move(config)}));

@@ -1,6 +1,6 @@
 // Tests for the SIMD batch-execution subsystem: the vec.hpp lane
 // abstraction, the TrialBatch structure-of-arrays transpose, and
-// bit-identical equivalence of run_simd against run_sequential across
+// bit-identical equivalence of the simd engine against the sequential one across
 // lookup representations, lane widths, thread counts, and the financial
 // edge cases (empty ELTs, unlimited limits, share == 1.0, trial counts not
 // divisible by the lane width).
@@ -10,8 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/engine.hpp"
-#include "core/simd_engine.hpp"
+#include "core/analysis.hpp"
 #include "elt/synthetic.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/trial_batch.hpp"
@@ -25,7 +24,6 @@ using core::Layer;
 using core::LayerElt;
 using core::Portfolio;
 using core::SimdExtension;
-using core::SimdOptions;
 using core::YearLossTable;
 
 constexpr std::size_t kUniverse = 20'000;
@@ -175,14 +173,24 @@ TEST(SimdVec, BestExtensionIsAvailable) {
   EXPECT_EQ(core::simd_lane_width(SimdExtension::kScalar), 1u);
 }
 
+/// The simd preset at an explicit lane type and thread count.
+core::AnalysisConfig simd_engine(SimdExtension extension, std::size_t num_threads = 1) {
+  return {.engine = core::EngineKind::kSimd,
+          .num_threads = num_threads,
+          .simd_extension = extension};
+}
+
+YearLossTable sequential_ylt(const Portfolio& portfolio, const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
+}
+
 TEST(SimdVec, UnavailableExtensionThrows) {
   for (SimdExtension extension :
        {SimdExtension::kSse2, SimdExtension::kAvx2, SimdExtension::kAvx512,
         SimdExtension::kNeon}) {
     if (core::simd_extension_available(extension)) continue;
-    SimdOptions options;
-    options.extension = extension;
-    EXPECT_THROW(core::run_simd(tiny_portfolio(financial::LayerTerms{}), tiny_yet(), options),
+    EXPECT_THROW(core::run({tiny_portfolio(financial::LayerTerms{}), tiny_yet(),
+                            simd_engine(extension)}),
                  std::invalid_argument);
     EXPECT_THROW(core::simd_lane_width(extension), std::invalid_argument);
   }
@@ -190,9 +198,9 @@ TEST(SimdVec, UnavailableExtensionThrows) {
 
 TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
   const SimdExtension best = core::best_simd_extension();
-  const SimdOptions auto_options;
   // A tiny cache-resident portfolio resolves to the widest extension.
-  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}), auto_options),
+  EXPECT_EQ(core::resolve_simd_extension(tiny_portfolio(financial::LayerTerms{}),
+                                         SimdExtension::kAuto),
             best);
   if (best == SimdExtension::kAvx2 || best == SimdExtension::kAvx512) {
     // One direct ELT over a 2M-event universe (16 MB dense table) exceeds
@@ -204,11 +212,10 @@ TEST(SimdVec, AutoNarrowsForMemoryBoundPortfolios) {
     layer.elts.push_back(std::move(layer_elt));
     Portfolio portfolio;
     portfolio.layers.push_back(std::move(layer));
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, auto_options), SimdExtension::kSse2);
+    EXPECT_EQ(core::resolve_simd_extension(portfolio, SimdExtension::kAuto),
+              SimdExtension::kSse2);
     // An explicit extension request is never overridden.
-    SimdOptions forced;
-    forced.extension = best;
-    EXPECT_EQ(core::resolve_simd_extension(portfolio, forced), best);
+    EXPECT_EQ(core::resolve_simd_extension(portfolio, best), best);
   }
 }
 
@@ -268,9 +275,7 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
   terms.aggregate_limit = 120.0;
   // Same expectations as the sequential engine's hand-computed case.
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    const auto ylt = core::run_simd(tiny_portfolio(terms), tiny_yet(), options);
+    const auto ylt = core::run({tiny_portfolio(terms), tiny_yet(), simd_engine(extension)});
     EXPECT_DOUBLE_EQ(ylt.at(0, 0), 0.0) << to_string(extension);
     EXPECT_DOUBLE_EQ(ylt.at(0, 1), 90.0) << to_string(extension);
     EXPECT_DOUBLE_EQ(ylt.at(0, 2), 0.0) << to_string(extension);
@@ -278,7 +283,7 @@ TEST(SimdEngine, HandComputedCombinedTerms) {
   }
 }
 
-// --- Bit-identical equivalence vs run_sequential ------------------------------
+// --- Bit-identical equivalence vs the sequential engine ------------------------
 
 TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
   const auto yet_table = synthetic_yet(257, 40.0);  // not divisible by any lane width
@@ -286,12 +291,10 @@ TEST(SimdEngine, MatchesSequentialOnEveryLookupKind) {
        {elt::LookupKind::kDirectAccess, elt::LookupKind::kSortedVector,
         elt::LookupKind::kRobinHood, elt::LookupKind::kCuckoo, elt::LookupKind::kPagedDirect}) {
     const auto portfolio = synthetic_portfolio(2, 3, kind);
-    const auto reference = core::run_sequential(portfolio, yet_table);
+    const auto reference = sequential_ylt(portfolio, yet_table);
     for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
       SCOPED_TRACE(std::string(to_string(kind)) + "/" + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+      expect_identical(core::run({portfolio, yet_table, simd_engine(extension)}), reference);
     }
   }
 }
@@ -301,12 +304,10 @@ TEST(SimdEngine, LaneWidthIndependentOnRaggedTrialCounts) {
   for (const std::uint64_t trials : {1u, 2u, 3u, 5u, 8u, 13u, 64u, 67u}) {
     const auto yet_table = synthetic_yet(trials, 25.0);
     const auto portfolio = synthetic_portfolio(1, 2);
-    const auto reference = core::run_sequential(portfolio, yet_table);
+    const auto reference = sequential_ylt(portfolio, yet_table);
     for (SimdExtension extension : available_extensions()) {
-      SimdOptions options;
-      options.extension = extension;
       SCOPED_TRACE(std::to_string(trials) + " trials / " + std::string(to_string(extension)));
-      expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+      expect_identical(core::run({portfolio, yet_table, simd_engine(extension)}), reference);
     }
   }
 }
@@ -331,11 +332,9 @@ TEST(SimdEngine, MatchesSequentialWithEmptyElt) {
   portfolio.layers.push_back(std::move(layer));
 
   const auto yet_table = synthetic_yet(101, 30.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(core::run({portfolio, yet_table, simd_engine(extension)}), reference);
   }
 }
 
@@ -354,11 +353,9 @@ TEST(SimdEngine, MatchesSequentialWithUnlimitedLimitsAndFullShare) {
     }
   }
   const auto yet_table = synthetic_yet(97, 35.0);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
   for (SimdExtension extension : available_extensions()) {
-    SimdOptions options;
-    options.extension = extension;
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(core::run({portfolio, yet_table, simd_engine(extension)}), reference);
   }
 }
 
@@ -367,21 +364,23 @@ TEST(SimdEngine, ThreadCompositionIsBitIdentical) {
   // batches, which must not change any trial's result.
   const auto yet_table = synthetic_yet(211, 30.0);
   const auto portfolio = synthetic_portfolio(2, 2);
-  const auto reference = core::run_sequential(portfolio, yet_table);
+  const auto reference = sequential_ylt(portfolio, yet_table);
   for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-    SimdOptions options;
-    options.num_threads = threads;
     SCOPED_TRACE(threads);
-    expect_identical(core::run_simd(portfolio, yet_table, options), reference);
+    expect_identical(
+        core::run({portfolio, yet_table, simd_engine(SimdExtension::kAuto, threads)}),
+        reference);
   }
 }
 
 TEST(SimdEngine, MatchesOtherEngines) {
   const auto yet_table = synthetic_yet(128, 40.0);
   const auto portfolio = synthetic_portfolio(2, 3);
-  const auto simd_ylt = core::run_simd(portfolio, yet_table);
-  expect_identical(simd_ylt, core::run_parallel(portfolio, yet_table));
-  expect_identical(simd_ylt, core::run_chunked(portfolio, yet_table));
+  const auto simd_ylt = core::run({portfolio, yet_table, simd_engine(SimdExtension::kAuto)});
+  expect_identical(simd_ylt,
+                   core::run({portfolio, yet_table, {.engine = core::EngineKind::kParallel}}));
+  expect_identical(simd_ylt, core::run({portfolio, yet_table,
+                                        {.engine = core::EngineKind::kChunked, .num_threads = 1}}));
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 
 #include "core/analysis.hpp"
 #include "core/engine.hpp"
-#include "core/engine_registry.hpp"
+#include "core/engine_presets.hpp"
 #include "elt/cuckoo_table.hpp"
 #include "elt/direct_access_table.hpp"
 #include "elt/paged_direct_table.hpp"
@@ -378,7 +378,7 @@ TEST_F(Telemetry, OutputPhaseAppearsOnShardedInstrumentedRuns) {
 // --- Bit-identity: telemetry on vs. off, every engine x sink ------------------
 
 std::string materialized_csv(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                             const core::EngineDescriptor& engine, bool telemetry) {
+                             const core::EnginePreset& engine, bool telemetry) {
   core::AnalysisConfig config;
   config.engine = engine.kind;
   config.engine_name = engine.name;
@@ -391,7 +391,7 @@ std::string materialized_csv(const Portfolio& portfolio, const yet::YearEventTab
 }
 
 std::string sharded_csv(const Portfolio& portfolio, const yet::YearEventTable& yet_table,
-                        const core::EngineDescriptor& engine, bool telemetry) {
+                        const core::EnginePreset& engine, bool telemetry) {
   core::AnalysisConfig config;
   config.engine = engine.kind;
   config.engine_name = engine.name;
@@ -413,9 +413,8 @@ TEST_F(Telemetry, OnOffBitIdentityForEveryEngineAndSink) {
   const auto yet_table = small_yet(150, 20.0);
 
   std::size_t engines_checked = 0;
-  for (const core::EngineDescriptor& engine :
-       core::EngineRegistry::global().descriptors()) {
-    if (!engine.available_in_this_build || !engine.bit_identical_to_sequential) continue;
+  for (const core::EnginePreset& engine : core::engine_presets()) {
+    if (!engine.bit_identical_to_sequential) continue;
     SCOPED_TRACE(engine.name);
     ++engines_checked;
 
@@ -426,12 +425,10 @@ TEST_F(Telemetry, OnOffBitIdentityForEveryEngineAndSink) {
     EXPECT_GT(counter_now("kernel.launches"), 0u) << "telemetry-on run recorded nothing";
     EXPECT_EQ(off, on) << "materialized output changed under telemetry";
 
-    if (engine.supports_sharded_output()) {
-      const std::string sharded_off = sharded_csv(portfolio, yet_table, engine, false);
-      const std::string sharded_on = sharded_csv(portfolio, yet_table, engine, true);
-      EXPECT_EQ(sharded_off, sharded_on) << "sharded output changed under telemetry";
-      EXPECT_EQ(off, sharded_off) << "sharded output diverged from materialized";
-    }
+    const std::string sharded_off = sharded_csv(portfolio, yet_table, engine, false);
+    const std::string sharded_on = sharded_csv(portfolio, yet_table, engine, true);
+    EXPECT_EQ(sharded_off, sharded_on) << "sharded output changed under telemetry";
+    EXPECT_EQ(off, sharded_off) << "sharded output diverged from materialized";
   }
   EXPECT_GE(engines_checked, 7u);  // the kernel-backed builtins
 }

@@ -14,13 +14,18 @@ using namespace are;
 using core::CoverageWindow;
 
 /// The windowed engine through the front door: kWindowed + config window.
-core::YearLossTable run_windowed_api(const core::Portfolio& portfolio,
-                                     const yet::YearEventTable& yet_table,
-                                     const CoverageWindow& window) {
+core::YearLossTable windowed_ylt(const core::Portfolio& portfolio,
+                                 const yet::YearEventTable& yet_table,
+                                 const CoverageWindow& window) {
   core::AnalysisConfig config;
   config.engine = core::EngineKind::kWindowed;
   config.window = window;
   return core::run({portfolio, yet_table, config});
+}
+
+core::YearLossTable sequential_ylt(const core::Portfolio& portfolio,
+                                   const yet::YearEventTable& yet_table) {
+  return core::run({portfolio, yet_table, {.engine = core::EngineKind::kSequential}});
 }
 
 core::Portfolio test_portfolio(std::size_t elts = 3) {
@@ -70,8 +75,8 @@ TEST(CoverageWindow, CoversAndValidates) {
 TEST(WindowedEngine, FullYearMatchesSequentialBitExact) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto reference = core::run_sequential(portfolio, yet_table);
-  const auto windowed = run_windowed_api(portfolio, yet_table, {0.0f, 1.0f});
+  const auto reference = sequential_ylt(portfolio, yet_table);
+  const auto windowed = windowed_ylt(portfolio, yet_table, {0.0f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_EQ(windowed.at(0, trial), reference.at(0, trial)) << trial;
   }
@@ -80,19 +85,10 @@ TEST(WindowedEngine, FullYearMatchesSequentialBitExact) {
 TEST(WindowedEngine, WindowNeverIncreasesLoss) {
   const auto portfolio = test_portfolio();
   const auto yet_table = test_yet();
-  const auto full = core::run_sequential(portfolio, yet_table);
-  const auto half = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
+  const auto full = sequential_ylt(portfolio, yet_table);
+  const auto half = windowed_ylt(portfolio, yet_table, {0.0f, 0.5f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     ASSERT_LE(half.at(0, trial), full.at(0, trial) + 1e-9);
-  }
-}
-
-TEST(WindowedEngine, ComplementaryWindowsCoverAllOccurrences) {
-  const auto yet_table = test_yet();
-  const auto first = core::occurrences_in_window(yet_table, {0.0f, 0.5f});
-  const auto second = core::occurrences_in_window(yet_table, {0.5f, 1.0f});
-  for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
-    EXPECT_EQ(first[trial] + second[trial], yet_table.trial_size(trial));
   }
 }
 
@@ -103,29 +99,18 @@ TEST(WindowedEngine, ComplementaryWindowLossesSumWithoutAggregateTerms) {
   portfolio.layers[0].terms = financial::LayerTerms::cat_xl(100e3, financial::kUnlimited);
   const auto yet_table = test_yet();
 
-  const auto full = core::run_sequential(portfolio, yet_table);
-  const auto first = run_windowed_api(portfolio, yet_table, {0.0f, 0.5f});
-  const auto second = run_windowed_api(portfolio, yet_table, {0.5f, 1.0f});
+  const auto full = sequential_ylt(portfolio, yet_table);
+  const auto first = windowed_ylt(portfolio, yet_table, {0.0f, 0.5f});
+  const auto second = windowed_ylt(portfolio, yet_table, {0.5f, 1.0f});
   for (std::size_t trial = 0; trial < yet_table.num_trials(); ++trial) {
     EXPECT_NEAR(first.at(0, trial) + second.at(0, trial), full.at(0, trial),
                 1e-9 * (1.0 + full.at(0, trial)));
   }
 }
 
-TEST(WindowedEngine, NarrowWindowCapturesFewOccurrences) {
-  const auto yet_table = test_yet();
-  const auto narrow = core::occurrences_in_window(yet_table, {0.4f, 0.45f});
-  std::uint64_t total = 0;
-  for (const auto count : narrow) total += count;
-  // Uniform timestamps: ~5% of all occurrences.
-  const double fraction =
-      static_cast<double>(total) / static_cast<double>(yet_table.total_events());
-  EXPECT_NEAR(fraction, 0.05, 0.01);
-}
-
 TEST(WindowedEngine, RejectsInvalidWindow) {
   const auto portfolio = test_portfolio();
-  EXPECT_THROW(run_windowed_api(portfolio, test_yet(10), {0.7f, 0.3f}),
+  EXPECT_THROW(windowed_ylt(portfolio, test_yet(10), {0.7f, 0.3f}),
                std::invalid_argument);
 }
 
@@ -193,8 +178,8 @@ TEST(ScaledLookup, StressAttachesRemoteLayers) {
   stressed_portfolio.layers[0].elts[0].lookup = std::make_shared<elt::ScaledLookup>(base, 1.5);
 
   const auto yet_table = test_yet(500);
-  const auto base_ylt = core::run_sequential(base_portfolio, yet_table);
-  const auto stressed_ylt = core::run_sequential(stressed_portfolio, yet_table);
+  const auto base_ylt = sequential_ylt(base_portfolio, yet_table);
+  const auto stressed_ylt = sequential_ylt(stressed_portfolio, yet_table);
 
   const double base_total = metrics::summarize(base_ylt.layer_losses(0)).mean();
   const double stressed_total = metrics::summarize(stressed_ylt.layer_losses(0)).mean();

@@ -11,8 +11,8 @@
 //   are_cli price     --yet years.yet --elt a.elt ... [terms...]     (quote to stdout)
 //   are_cli info      --yet years.yet | --elt book.elt               (describe a file)
 //   are_cli simd-info [--runnable]   (runtime SIMD dispatch facts for this host)
-//   are_cli list-engines [--names] [--bit-identical]   (dump the engine registry)
-//   are_cli list-engines --sinks   (smoke-run every sink-capable engine under a
+//   are_cli list-engines [--names] [--bit-identical]   (dump the engine presets)
+//   are_cli list-engines --sinks   (smoke-run every engine's sink path under a
 //                                   forced-spill budget, byte-diffing vs seq)
 //   are_cli serve     --yet years.yet --elt a.elt ... [terms...] --socket are.sock
 //                     (resident analysis service on an AF_UNIX socket; loads the
@@ -33,21 +33,21 @@
 //              for the fused engine, --partition picks the tile scheduler)
 //              --tile N (fused engine's trials per tile; 0 = footprint heuristic)
 //              --simd-ext auto|scalar|sse2|avx2|avx512|neon
-//              --window FROM:TO (windowed/fused engines; fractions of the year)
-//              --phases (Fig-6b phase breakdown; instrumented/fused engines)
+//              --window FROM:TO (any engine; fractions of the year)
+//              --phases (Fig-6b phase breakdown; any engine)
 //              --lookup direct|sorted|robinhood|cuckoo
 // Output:      --output materialized|sharded — sharded stores the YLT in
 //              trial-range shards that spill to disk under a memory budget
-//              (out-of-core; engines with the 'sharded' capability), with
+//              (out-of-core; every engine), with
 //              --shard-trials N --spill-dir PATH --memory-budget-mb M
 // Telemetry:   --telemetry json|csv|prom|trace [--telemetry-out PATH]
 //              (runtime counters / Chrome-trace spans from src/obs/, exported
 //              after the command finishes; default destination stderr)
 //              --verbose (human summaries rendered from the telemetry registry)
 //
-// Engine selection goes through core::run(AnalysisRequest) and the
-// EngineRegistry, so a backend registered there is immediately reachable
-// here by name — this file has no per-engine dispatch ladder.
+// Engine selection goes through core::run(AnalysisRequest) and the preset
+// table (core/engine_presets.hpp), so a row added there is immediately
+// reachable here by name — this file has no per-engine dispatch ladder.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -65,8 +65,7 @@
 #include "args.hpp"
 #include "catmodel/cat_model.hpp"
 #include "core/analysis.hpp"
-#include "core/engine_registry.hpp"
-#include "core/openmp_engine.hpp"
+#include "core/engine_presets.hpp"
 #include "fault/fault_injection.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics_server.hpp"
@@ -105,8 +104,8 @@ commands:
   simd-info          runtime SIMD dispatch facts: cpuid-detected, compiled-in,
                      and chosen extensions (--runnable: one runnable extension
                      per line, machine-readable — what CI override loops use)
-  list-engines       dump the engine registry            (--names --bit-identical)
-                     --sinks: smoke-run every sink-capable engine (forced spill,
+  list-engines       dump the engine presets             (--names --bit-identical)
+                     --sinks: smoke-run every engine's sink path (forced spill,
                      sharded CSV byte-diffed against the sequential reference)
   serve              resident analysis service           (--yet F --elt F... --socket PATH)
                      --portfolio NAME (book id, default 'book') --threads N
@@ -246,18 +245,17 @@ parallel::Partition parse_partition(const Args& args) {
 }
 
 /// Builds the AnalysisConfig from the command line. Engine names resolve
-/// through the registry, so `--engine` accepts exactly what list-engines
-/// prints.
+/// through the preset table, so `--engine` accepts exactly what
+/// list-engines prints.
 core::AnalysisConfig parse_engine_config(const Args& args) {
   core::AnalysisConfig config;
-  // Sharded output needs a sink-capable engine, so its default is fused
-  // (the engine that writes tiles straight into shards); --engine still
+  // Sharded output defaults to fused (the engine whose tiles suit shard
+  // boundaries best); --engine still
   // overrides either default.
   const bool sharded = args.get("output", "materialized") == "sharded";
-  const auto& engine =
-      core::EngineRegistry::global().require(args.get("engine", sharded ? "fused" : "parallel"));
+  const auto& engine = core::require_engine(args.get("engine", sharded ? "fused" : "parallel"));
   config.engine = engine.kind;
-  config.engine_name = engine.name;  // exact descriptor, even for custom-named engines
+  config.engine_name = engine.name;
   config.num_threads = static_cast<std::size_t>(args.get_u64("threads", 0));
   config.partition = parse_partition(args);
   config.partition_chunk = static_cast<std::size_t>(args.get_u64("partition-chunk", 256));
@@ -591,7 +589,7 @@ int cmd_price(const Args& args) {
   return 0;
 }
 
-/// `list-engines --sinks`: runs every sink-capable engine on a small
+/// `list-engines --sinks`: runs every engine on a small
 /// synthetic workload with a deliberately tiny memory budget (shards must
 /// spill and fault back) and byte-diffs its sharded CSV against the
 /// sequential reference — the in-process version of CI's sharded smoke
@@ -625,8 +623,7 @@ int smoke_sink_engines() {
                                                       .num_threads = 1}}));
 
   bool all_passed = true;
-  for (const auto& engine : core::EngineRegistry::global().descriptors()) {
-    if (!engine.supports_sharded_output() || !engine.available_in_this_build) continue;
+  for (const auto& engine : core::engine_presets()) {
     core::AnalysisConfig config;
     config.engine = engine.kind;
     config.engine_name = engine.name;
@@ -662,16 +659,14 @@ int smoke_sink_engines() {
 }
 
 int cmd_list_engines(const Args& args) {
-  const auto& registry = core::EngineRegistry::global();
   const bool names_only = args.has("names");
   const bool only_bit_identical = args.has("bit-identical");
   if (args.has("sinks")) return smoke_sink_engines();
 
   if (names_only) {
-    // Machine-readable: one canonical name per line, restricted to engines
-    // this build can actually run (what CI smoke-loops over).
-    for (const auto& engine : registry.descriptors()) {
-      if (!engine.available_in_this_build) continue;
+    // Machine-readable: one canonical name per line (what CI smoke-loops
+    // over).
+    for (const auto& engine : core::engine_presets()) {
       if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
       std::cout << engine.name << "\n";
     }
@@ -680,14 +675,15 @@ int cmd_list_engines(const Args& args) {
 
   std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", "engine", "available",
               "bit-identical", "window", "instr", "pool", "sharded", "summary");
-  for (const auto& engine : registry.descriptors()) {
+  // Every preset runs the shared trial kernel, so each one is available and
+  // applies windows, the phase breakdown and sharded output; only
+  // bit-identity and pool reuse differ between rows.
+  for (const auto& engine : core::engine_presets()) {
     if (only_bit_identical && !engine.bit_identical_to_sequential) continue;
     const auto yn = [](bool value) { return value ? "yes" : "no"; };
-    std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", engine.name.c_str(),
-                yn(engine.available_in_this_build), yn(engine.bit_identical_to_sequential),
-                yn(engine.supports_windowing), yn(engine.supports_instrumentation),
-                yn(engine.supports_pool_reuse), yn(engine.supports_sharded_output()),
-                engine.summary.c_str());
+    std::printf("%-13s %-9s %-13s %-7s %-6s %-5s %-8s %s\n", engine.name.c_str(), "yes",
+                yn(engine.bit_identical_to_sequential), "yes", "yes",
+                yn(engine.supports_pool_reuse), "yes", engine.summary.c_str());
     if (!engine.availability_note.empty()) {
       std::printf("%-13s   %s\n", "", engine.availability_note.c_str());
     }
@@ -716,7 +712,7 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(args.get_u64("admission-memory-budget-mb", 0)) << 20;
   config.cache_entries = static_cast<std::size_t>(args.get_u64("cache-entries", 64));
   config.default_engine = args.get("engine", "fused");
-  core::EngineRegistry::global().require(config.default_engine);  // fail fast on typos
+  core::require_engine(config.default_engine);  // fail fast on typos
   // Out-of-core execution for sharded=1 quotes (same flag names as `run`).
   config.sharding.shard_trials = args.get_u64("shard-trials", 4096);
   config.sharding.memory_budget_bytes =
